@@ -2,9 +2,11 @@ package selest
 
 // Estimate hot-path benchmarks (DESIGN.md §10): the three serving kernels
 // — flat O(m) scan, BVH index, BVH behind the serving cache — at growing
-// bucket counts, plus end-to-end batched /v1/estimate throughput by
-// worker count. scripts/bench.sh folds these into BENCH_<n>.json with
-// intra-run speedups (flat kernel and single-worker serving as baselines).
+// bucket counts, the PTSHIST point scan against its compacted kernel,
+// plus end-to-end batched /v1/estimate throughput by worker count.
+// scripts/bench.sh folds these into BENCH_<n>.json with intra-run
+// speedups (flat kernel, PTSHIST scan and single-worker serving as
+// baselines).
 
 import (
 	"fmt"
@@ -18,6 +20,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/hist"
+	"repro/internal/ptshist"
 	"repro/internal/rng"
 	"repro/internal/serve"
 )
@@ -62,9 +65,103 @@ func estPathQueries(n int) []geom.Box {
 	return qs
 }
 
+// estPathPtsModel builds an 8-D PTSHIST model of 3200 points with about
+// 8% nonzero weights — the shape of the model trained on 8-D Forest balls
+// (250 of 3200 nonzero) — constructed directly so the benchmark does not
+// pay for training.
+func estPathPtsModel() *ptshist.Model {
+	const n, dim = 3200, 8
+	r := rng.New(11)
+	m := &ptshist.Model{Points: make([]geom.Point, n), Weights: make([]float64, n)}
+	total := 0.0
+	for j := range m.Points {
+		p := make(geom.Point, dim)
+		for i := range p {
+			p[i] = r.Float64()
+		}
+		m.Points[j] = p
+		if r.Float64() < 0.08 {
+			m.Weights[j] = r.Float64()
+			total += m.Weights[j]
+		}
+	}
+	for j := range m.Weights {
+		m.Weights[j] /= total
+	}
+	return m
+}
+
+// estPathBalls returns n deterministic 8-D balls with centers in [0,1]^8
+// and radii in [0,1], the query shape of the paper's ball workloads.
+func estPathBalls(n int) []geom.Range {
+	r := rng.New(13)
+	qs := make([]geom.Range, n)
+	for i := range qs {
+		c := make(geom.Point, 8)
+		for d := range c {
+			c[d] = r.Float64()
+		}
+		qs[i] = &geom.Ball{Center: c, Radius: r.Float64()}
+	}
+	return qs
+}
+
+// ptsSink keeps the PTSHIST arms' results live so the compiler cannot
+// drop the measured calls.
+var ptsSink float64
+
+// ptsScan is Equation 7 as a plain scan over every point, the estimate
+// PTSHIST's compacted kernel must reproduce bit for bit.
+func ptsScan(m *ptshist.Model, r geom.Range) float64 {
+	s := 0.0
+	for j, p := range m.Points {
+		if m.Weights[j] != 0 && r.Contains(p) {
+			s += m.Weights[j]
+		}
+	}
+	return core.Clamp01(s)
+}
+
+// TestEstimatePathPtsHistArmsAgree checks that the two PTSHIST arms of
+// BenchmarkEstimatePath compute the same estimates bit for bit, so their
+// ratio compares two ways of doing the same work.
+func TestEstimatePathPtsHistArmsAgree(t *testing.T) {
+	pm := estPathPtsModel()
+	core.Accelerate(pm)
+	nz := 0
+	for _, w := range pm.Weights {
+		if w != 0 {
+			nz++
+		}
+	}
+	if nz < 200 || nz > 320 {
+		t.Fatalf("%d of %d weights nonzero, want about 8%%", nz, len(pm.Weights))
+	}
+	for i, q := range estPathBalls(256) {
+		if a, b := ptsScan(pm, q), pm.Estimate(q); math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("ball %d: scan %v, kernel %v", i, a, b)
+		}
+	}
+}
+
 // BenchmarkEstimatePath is the per-query latency of the three estimate
-// kernels at each bucket count the acceptance criteria name.
+// kernels at each bucket count the acceptance criteria name, and of the
+// PTSHIST point scan against its compacted kernel on 8-D balls.
 func BenchmarkEstimatePath(b *testing.B) {
+	pm, balls := estPathPtsModel(), estPathBalls(256)
+	b.Run("ptshist/scan", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			ptsSink = ptsScan(pm, balls[i%len(balls)])
+		}
+	})
+	b.Run("ptshist/kernel", func(b *testing.B) {
+		core.Accelerate(pm) // build outside the timed region
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ptsSink = pm.Estimate(balls[i%len(balls)])
+		}
+	})
+
 	queries := estPathQueries(256)
 	for _, m := range []int{256, 1024, 4096, 16384} {
 		model := estPathModel(m)

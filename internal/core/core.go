@@ -32,11 +32,13 @@ type LabeledQuery struct {
 // against a model that may be atomically swapped out underneath it.
 // Implementations must not reseed generators or otherwise mutate
 // observable receiver state inside Estimate/NumBuckets. The one sanctioned
-// exception is an internally synchronized, build-exactly-once acceleration
-// index (sync.Once) whose presence never changes results beyond float
-// summation order — the BVH of the box-bucketed models. All model types in
-// this repository satisfy the contract; internal/core's race test hammers
-// them under the race detector.
+// exception is an internally synchronized acceleration index, published
+// once and read-only afterwards, whose presence never changes results
+// beyond float summation order — the BVH of the box-bucketed models
+// (sync.Once), PTSHIST's compacted point kernel (atomic CAS, bit-identical
+// to the plain scan). All model types in this repository satisfy the
+// contract; internal/core's race test hammers them under the race
+// detector.
 type Model interface {
 	// Estimate returns the predicted selectivity of the query range,
 	// always in [0,1].
@@ -47,10 +49,11 @@ type Model interface {
 }
 
 // Accelerable is the capability interface of models that carry a
-// prebuildable acceleration index (the BVH of the box-bucketed
-// histograms). The serving layer and the experiment runners call
-// Accelerate through this interface — never via model type switches — so
-// any new model type opts into the fast path just by implementing it.
+// prebuildable acceleration index: the BVH of the box-bucketed
+// histograms, or the compacted nonzero-weight point array of PTSHIST.
+// The serving layer and the experiment runners call Accelerate through
+// this interface — never via model type switches — so any new model type
+// opts into the fast path just by implementing it.
 type Accelerable interface {
 	Model
 	// Accelerate builds the model's acceleration index if it would pay

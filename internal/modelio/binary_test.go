@@ -168,6 +168,31 @@ func TestBinaryCorruption(t *testing.T) {
 	})
 }
 
+// TestBinaryRejectsInvalidModel checks that snapshots of structurally
+// invalid models — which SaveBinary writes without judging them — fail to
+// load with ErrInvalidModel instead of serving NaN or panicking.
+func TestBinaryRejectsInvalidModel(t *testing.T) {
+	pts := []geom.Point{{0.25, 0.5}, {0.75, 0.5}}
+	g := gridModel(2)
+	cases := []struct {
+		name string
+		m    core.Model
+	}{
+		{"nan weight", &ptshist.Model{Points: pts, Weights: []float64{math.NaN(), 1}}},
+		{"inf weight", &ptshist.Model{Points: pts, Weights: []float64{math.Inf(1), 0}}},
+		{"nan bucket weight", &hist.Model{Buckets: g.Buckets, Weights: []float64{0.5, math.NaN(), 0.25, 0.25}}},
+		{"nan sigma", &gmm.Model{
+			Components: []gmm.Component{{Mean: geom.Point{0.5}, Sigma: math.NaN()}},
+			Weights:    []float64{1},
+		}},
+	}
+	for _, c := range cases {
+		if _, err := LoadBinary(snapshot(t, c.m)); !errors.Is(err, ErrInvalidModel) {
+			t.Errorf("%s: got %v, want ErrInvalidModel", c.name, err)
+		}
+	}
+}
+
 // TestLoadAnySniffsFormat checks both formats load through LoadAny.
 func TestLoadAnySniffsFormat(t *testing.T) {
 	orig := gridModel(8)

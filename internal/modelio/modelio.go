@@ -11,8 +11,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/core"
+	"repro/internal/geom"
 	"repro/internal/gmm"
 	"repro/internal/hist"
 	"repro/internal/isomer"
@@ -111,7 +113,10 @@ func Load(r io.Reader) (core.Model, error) {
 }
 
 // validate performs structural sanity checks so a corrupted file fails at
-// load time rather than at estimation time.
+// load time rather than at estimation time: weights must be finite,
+// nonnegative and sum to about 1, and every point, bucket corner or
+// component mean of a model must have one common dimension (the estimate
+// kernels scan coordinates with a fixed stride).
 func validate(m core.Model) error {
 	checkWeights := func(n int, w []float64) error {
 		if len(w) != n {
@@ -119,6 +124,9 @@ func validate(m core.Model) error {
 		}
 		sum := 0.0
 		for _, v := range w {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("%w: non-finite weight %v", ErrInvalidModel, v)
+			}
 			if v < -1e-9 {
 				return fmt.Errorf("%w: negative weight %v", ErrInvalidModel, v)
 			}
@@ -129,22 +137,46 @@ func validate(m core.Model) error {
 		}
 		return nil
 	}
+	checkBoxes := func(bs []geom.Box, w []float64) error {
+		for _, b := range bs {
+			if len(b.Lo) != len(bs[0].Lo) || len(b.Hi) != len(bs[0].Lo) {
+				return fmt.Errorf("%w: bucket corners of dimension %d and %d, want %d",
+					ErrInvalidModel, len(b.Lo), len(b.Hi), len(bs[0].Lo))
+			}
+		}
+		return checkWeights(len(bs), w)
+	}
+	checkPoints := func(ps []geom.Point) error {
+		for _, p := range ps {
+			if len(p) != len(ps[0]) {
+				return fmt.Errorf("%w: points of dimension %d and %d", ErrInvalidModel, len(ps[0]), len(p))
+			}
+		}
+		return nil
+	}
 	switch t := m.(type) {
 	case *hist.Model:
-		return checkWeights(len(t.Buckets), t.Weights)
+		return checkBoxes(t.Buckets, t.Weights)
 	case *ptshist.Model:
+		if err := checkPoints(t.Points); err != nil {
+			return err
+		}
 		return checkWeights(len(t.Points), t.Weights)
 	case *quicksel.Model:
-		return checkWeights(len(t.Buckets), t.Weights)
+		return checkBoxes(t.Buckets, t.Weights)
 	case *isomer.Model:
-		return checkWeights(len(t.Buckets), t.Weights)
+		return checkBoxes(t.Buckets, t.Weights)
 	case *gmm.Model:
 		if err := checkWeights(len(t.Components), t.Weights); err != nil {
 			return err
 		}
 		for _, c := range t.Components {
-			if c.Sigma <= 0 {
-				return fmt.Errorf("%w: non-positive component sigma %v", ErrInvalidModel, c.Sigma)
+			if !(c.Sigma > 0) || math.IsInf(c.Sigma, 1) {
+				return fmt.Errorf("%w: component sigma %v", ErrInvalidModel, c.Sigma)
+			}
+			if len(c.Mean) != len(t.Components[0].Mean) {
+				return fmt.Errorf("%w: component means of dimension %d and %d",
+					ErrInvalidModel, len(t.Components[0].Mean), len(c.Mean))
 			}
 		}
 		return nil

@@ -97,6 +97,10 @@ func TestLoadRejectsCorruption(t *testing.T) {
 		{"negative weight", `{"version":1,"type":"ptshist","payload":{"Points":[[0.5,0.5],[0.1,0.1]],"Weights":[1.5,-0.5]}}`},
 		{"weights not normalized", `{"version":1,"type":"ptshist","payload":{"Points":[[0.5,0.5]],"Weights":[0.2]}}`},
 		{"bad sigma", `{"version":1,"type":"gaussmix","payload":{"Components":[{"Mean":[0.5],"Sigma":0}],"Weights":[1]}}`},
+		{"ragged points", `{"version":1,"type":"ptshist","payload":{"Points":[[0.5,0.5],[0.5]],"Weights":[0.5,0.5]}}`},
+		{"ragged buckets", `{"version":1,"type":"quadhist","payload":{"Buckets":[{"Lo":[0,0],"Hi":[0.5,1]},{"Lo":[0.5],"Hi":[1]}],"Weights":[0.5,0.5]}}`},
+		{"ragged bucket corners", `{"version":1,"type":"quicksel","payload":{"Buckets":[{"Lo":[0,0],"Hi":[1]}],"Weights":[1]}}`},
+		{"ragged means", `{"version":1,"type":"gaussmix","payload":{"Components":[{"Mean":[0.5],"Sigma":1},{"Mean":[0.5,0.5],"Sigma":1}],"Weights":[0.5,0.5]}}`},
 	}
 	for _, c := range cases {
 		if _, err := Load(strings.NewReader(c.input)); err == nil {
@@ -147,6 +151,9 @@ func TestLoadTypedErrors(t *testing.T) {
 		{"unknown type", `{"version":1,"type":"neuralnet","payload":{}}`, ErrUnknownType},
 		{"bad payload json", `{"version":1,"type":"quadhist","payload":"nope"}`, ErrMalformed},
 		{"invalid weights", `{"version":1,"type":"ptshist","payload":{"Points":[[0.5,0.5]],"Weights":[0.2]}}`, ErrInvalidModel},
+		{"ragged points", `{"version":1,"type":"ptshist","payload":{"Points":[[0.5,0.5],[0.5]],"Weights":[0.5,0.5]}}`, ErrInvalidModel},
+		{"ragged buckets", `{"version":1,"type":"quadhist","payload":{"Buckets":[{"Lo":[0,0],"Hi":[0.5,1]},{"Lo":[0.5],"Hi":[1]}],"Weights":[0.5,0.5]}}`, ErrInvalidModel},
+		{"ragged means", `{"version":1,"type":"gaussmix","payload":{"Components":[{"Mean":[0.5],"Sigma":1},{"Mean":[0.5,0.5],"Sigma":1}],"Weights":[0.5,0.5]}}`, ErrInvalidModel},
 	}
 	for _, c := range cases {
 		_, err := Load(strings.NewReader(c.input))

@@ -14,6 +14,7 @@ package ptshist
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/geom"
@@ -59,9 +60,15 @@ func New(dim, k int, seed uint64) *Trainer {
 func (t *Trainer) Name() string { return "PtsHist" }
 
 // Model is a trained PTSHIST discrete distribution.
+//
+// Estimate runs over a compacted copy of the nonzero-weight points (see
+// kernel.go), built once on the first Estimate or Accelerate call. Points
+// and Weights must not be mutated after that call.
 type Model struct {
 	Points  []geom.Point
 	Weights []float64
+
+	kern atomic.Pointer[kernel]
 }
 
 // Train implements core.Trainer.
@@ -192,16 +199,29 @@ func apportion(samples []core.LabeledQuery, interior int, total float64) []int {
 // NumBuckets implements core.Model.
 func (m *Model) NumBuckets() int { return len(m.Points) }
 
-// Estimate implements core.Model: Equation 7, Σⱼ 1(Bⱼ ∈ R)·wⱼ.
+// Estimate implements core.Model: Equation 7, Σⱼ 1(Bⱼ ∈ R)·wⱼ. The sum
+// visits the nonzero weights in index order and decides membership
+// exactly as r.Contains does, so the result is bit-identical to a plain
+// scan over Points.
 func (m *Model) Estimate(r geom.Range) float64 {
-	s := 0.0
-	for j, p := range m.Points {
-		if m.Weights[j] != 0 && r.Contains(p) {
-			s += m.Weights[j]
-		}
+	return core.Clamp01(m.kernel().estimate(r))
+}
+
+// Accelerate implements core.Accelerable: it builds the compacted kernel
+// so the first estimate after a model swap does not pay for it.
+func (m *Model) Accelerate() { m.kernel() }
+
+// kernel returns the model's compacted kernel, building it on first use.
+// Concurrent first callers may each build one; every build has the same
+// content, so losing the CAS race is harmless.
+func (m *Model) kernel() *kernel {
+	if k := m.kern.Load(); k != nil {
+		return k
 	}
-	return core.Clamp01(s)
+	m.kern.CompareAndSwap(nil, newKernel(m.Points, m.Weights))
+	return m.kern.Load()
 }
 
 var _ core.Trainer = (*Trainer)(nil)
 var _ core.Model = (*Model)(nil)
+var _ core.Accelerable = (*Model)(nil)

@@ -64,8 +64,10 @@ func (c *EstimateCache) Get(model string, gen int64, query string) (float64, boo
 	k := cacheKey{model: model, gen: gen, query: query}
 	c.mu.Lock()
 	el, ok := c.entries[k]
+	var v float64
 	if ok {
 		c.ll.MoveToFront(el)
+		v = el.Value.(*cacheEntry).val // Put may overwrite it under mu
 	}
 	c.mu.Unlock()
 	if !ok {
@@ -73,7 +75,7 @@ func (c *EstimateCache) Get(model string, gen int64, query string) (float64, boo
 		return 0, false
 	}
 	c.hits.Add(1)
-	return el.Value.(*cacheEntry).val, true
+	return v, true
 }
 
 // Put records an estimate for the query under the given model generation,

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/hist"
 	"repro/internal/modelio"
+	"repro/internal/ptshist"
 	"repro/internal/workload"
 )
 
@@ -255,6 +257,11 @@ func TestModelUploadAndDownload(t *testing.T) {
 	}
 
 	// Decode failures map to 400, missing models to 404.
+	var nanSnap bytes.Buffer
+	nanModel := &ptshist.Model{Points: []geom.Point{{0.25, 0.5}, {0.75, 0.5}}, Weights: []float64{math.NaN(), 1}}
+	if err := modelio.SaveBinary(&nanSnap, nanModel); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		body string
@@ -264,6 +271,8 @@ func TestModelUploadAndDownload(t *testing.T) {
 		{"wrong version", `{"version":9,"type":"quadhist","payload":{}}`, 400},
 		{"unknown type", `{"version":1,"type":"neuralnet","payload":{}}`, 400},
 		{"invalid weights", `{"version":1,"type":"ptshist","payload":{"Points":[[0.5,0.5]],"Weights":[0.2]}}`, 400},
+		{"ragged points", `{"version":1,"type":"ptshist","payload":{"Points":[[0.5,0.5],[0.5]],"Weights":[0.5,0.5]}}`, 400},
+		{"nan weight snapshot", nanSnap.String(), 400},
 	}
 	for _, c := range cases {
 		if code := doJSON(t, h, "PUT", "/v1/models/bad", []byte(c.body), nil); code != c.want {

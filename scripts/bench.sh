@@ -100,10 +100,12 @@ BEGIN {
     name = $1
     sub(/-[0-9]+$/, "", name) # strip the GOMAXPROCS suffix
     if (name ~ /^BenchmarkEstimatePath\//) {
-        # BenchmarkEstimatePath/flat/m=4096 -> estpath_flat_m4096
+        # BenchmarkEstimatePath/flat/m=4096 -> estpath_flat_m4096,
+        # BenchmarkEstimatePath/ptshist/kernel -> estpath_ptshist_kernel
         key = name
         sub(/^BenchmarkEstimatePath\//, "estpath_", key)
         sub(/\/m=/, "_m", key)
+        gsub(/\//, "_", key)
     } else if (name ~ /^BenchmarkServeEstimateBatch\//) {
         # BenchmarkServeEstimateBatch/workers=4 -> serve_batch_w4
         key = name
@@ -163,12 +165,14 @@ END {
         } else {
             # Intra-run baselines for benchmarks that carry their own
             # reference arm: the flat kernel at the same bucket count for
-            # the estimate-path arms, the single-worker run for batched
-            # serving throughput.
+            # the estimate-path arms, the point scan for the PTSHIST
+            # kernel, the single-worker run for batched serving throughput.
             ref = ""
             if (key ~ /^estpath_(bvh|cached)_m/) {
                 ref = key
                 sub(/^estpath_[a-z]+_/, "estpath_flat_", ref)
+            } else if (key == "estpath_ptshist_kernel") {
+                ref = "estpath_ptshist_scan"
             } else if (key ~ /^serve_batch_w/ && key != "serve_batch_w1") {
                 ref = "serve_batch_w1"
             } else if (key ~ /^serve_stream_w/ && key != "serve_stream_w1") {

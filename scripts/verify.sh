@@ -28,7 +28,9 @@ go run ./cmd/selvet -strict-suppressions ./...
 # since /metrics pages are diffed byte-for-byte in tests. internal/online
 # is in the sweep because its whole contract is deterministic pure-compute
 # updates (detrand: no clocks — latency timing lives in the serve layer).
-go run ./cmd/selvet ./internal/serve ./internal/parallel ./internal/core ./internal/bvh ./internal/obs ./internal/online ./internal/gmm ./internal/wirebin ./internal/modelio ./internal/load
+# internal/ptshist holds the other serving kernel and its lazily built,
+# atomically published compacted copy (atomicmix).
+go run ./cmd/selvet ./internal/serve ./internal/parallel ./internal/core ./internal/bvh ./internal/obs ./internal/online ./internal/gmm ./internal/wirebin ./internal/modelio ./internal/load ./internal/ptshist
 
 # Prove the gate can fail: the seeded-violation fixture must be flagged.
 # If selvet ever exits 0 here, the analyzers have gone blind and the
@@ -56,6 +58,13 @@ go test -race ./internal/...
 # gate for that contract, run explicitly so it cannot fall out of the
 # ./internal/... sweep unnoticed.
 go test -race ./internal/obs/...
+# PTSHIST's compacted estimate kernel is built on first use behind an
+# atomic pointer: the first estimates of a fresh model race Accelerate,
+# and every result must stay bit-identical to the point scan.
+go test -race ./internal/ptshist/...
+# Differential fuzzing of that kernel against the point scan: balls,
+# boxes and halfspaces, value and pointer forms, points on the boundary.
+go test -run '^$' -fuzz 'FuzzPtsHistEstimate' -fuzztime 10s ./internal/ptshist
 # Online-learning contract gates, run explicitly for the same reason:
 # the copy-on-write publish path must stay torn-state-free under
 # concurrent estimates + online updates + retrain hot-swaps, and the
