@@ -20,7 +20,7 @@ import (
 )
 
 // trainProfWorkload labels n synthetic box queries with a grid-model
-// ground truth (the estpath model), so every family trains on identical,
+// ground truth (load.GridModel), so every family trains on identical,
 // deterministic feedback.
 func trainProfWorkload(n int) []core.LabeledQuery {
 	truth := load.GridModel(4096, 0)

@@ -453,8 +453,8 @@ func EstimateFlat(buckets []geom.Box, weights []float64, r geom.Range) float64 {
 // IndexThreshold is the bucket count at which box-bucketed models switch
 // from the flat kernel to a BVH walk. Below it the flat scan's tight loop
 // beats the tree walk; above it the walk touches only the O(√m) boundary
-// buckets. The crossover was measured with the estpath benchmark
-// (cmd/selbench -estpath).
+// buckets. The crossover was measured with the root package's
+// BenchmarkEstimatePath (flat vs BVH at each bucket count).
 const IndexThreshold = 64
 
 // Lazy is a lazily-built, immutably-shared BVH over a fixed bucket set.

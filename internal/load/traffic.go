@@ -34,9 +34,9 @@ const (
 
 // GridModel builds a k×k grid histogram (m = k² buckets, m a perfect
 // square) over the unit box with deterministic simplex weights. Seed 0
-// reproduces the exact weight pattern cmd/selbench's -estpath mode has
-// always used; a nonzero seed perturbs the weights multiplicatively, so
-// hot-swapped models are genuinely different without changing shape.
+// gives the fixed weight pattern every grid-model benchmark uses; a
+// nonzero seed perturbs the weights multiplicatively, so hot-swapped
+// models are genuinely different without changing shape.
 func GridModel(m int, seed uint64) *hist.Model {
 	k := int(math.Round(math.Sqrt(float64(m))))
 	if k*k != m {

@@ -156,8 +156,17 @@ func flatCorners(buckets []geom.Box) (lo, hi []float64, dim int) {
 // SaveBinary writes the model as a binary snapshot. The model is
 // accelerated first (core.Accelerate), so box-bucketed models at or above
 // the indexing threshold persist their BVH and replicas skip the build on
-// load.
+// load. A model that LoadBinary would reject is not written: SaveBinary
+// returns ErrInvalidModel instead.
 func SaveBinary(w io.Writer, m core.Model) error {
+	if err := validate(m); err != nil {
+		return err
+	}
+	return writeBinary(w, m)
+}
+
+// writeBinary encodes m as a snapshot without validating it first.
+func writeBinary(w io.Writer, m core.Model) error {
 	tag := 0
 	switch m.(type) {
 	case *hist.Model:

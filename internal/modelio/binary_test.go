@@ -168,27 +168,43 @@ func TestBinaryCorruption(t *testing.T) {
 	})
 }
 
-// TestBinaryRejectsInvalidModel checks that snapshots of structurally
-// invalid models — which SaveBinary writes without judging them — fail to
-// load with ErrInvalidModel instead of serving NaN or panicking.
+// TestBinaryRejectsInvalidModel checks both sides of the invalid-model
+// contract: Save and SaveBinary refuse a structurally invalid model with
+// ErrInvalidModel, and a snapshot of one written without that check
+// still fails to load with a typed error instead of serving NaN or
+// panicking.
 func TestBinaryRejectsInvalidModel(t *testing.T) {
 	pts := []geom.Point{{0.25, 0.5}, {0.75, 0.5}}
 	g := gridModel(2)
 	cases := []struct {
-		name string
-		m    core.Model
+		name    string
+		m       core.Model
+		loadErr error
 	}{
-		{"nan weight", &ptshist.Model{Points: pts, Weights: []float64{math.NaN(), 1}}},
-		{"inf weight", &ptshist.Model{Points: pts, Weights: []float64{math.Inf(1), 0}}},
-		{"nan bucket weight", &hist.Model{Buckets: g.Buckets, Weights: []float64{0.5, math.NaN(), 0.25, 0.25}}},
+		{"nan weight", &ptshist.Model{Points: pts, Weights: []float64{math.NaN(), 1}}, ErrInvalidModel},
+		{"inf weight", &ptshist.Model{Points: pts, Weights: []float64{math.Inf(1), 0}}, ErrInvalidModel},
+		{"nan bucket weight", &hist.Model{Buckets: g.Buckets, Weights: []float64{0.5, math.NaN(), 0.25, 0.25}}, ErrInvalidModel},
 		{"nan sigma", &gmm.Model{
 			Components: []gmm.Component{{Mean: geom.Point{0.5}, Sigma: math.NaN()}},
 			Weights:    []float64{1},
-		}},
+		}, ErrInvalidModel},
+		// Points of dimension 2 and 1: the snapshot's fixed point stride
+		// no longer matches its byte count.
+		{"ragged points", &ptshist.Model{Points: []geom.Point{{0.25, 0.5}, {0.75}}, Weights: []float64{0.5, 0.5}}, ErrMalformed},
 	}
 	for _, c := range cases {
-		if _, err := LoadBinary(snapshot(t, c.m)); !errors.Is(err, ErrInvalidModel) {
-			t.Errorf("%s: got %v, want ErrInvalidModel", c.name, err)
+		var buf bytes.Buffer
+		if err := SaveBinary(&buf, c.m); !errors.Is(err, ErrInvalidModel) || buf.Len() != 0 {
+			t.Errorf("%s: SaveBinary got %v after %d bytes, want ErrInvalidModel before any", c.name, err, buf.Len())
+		}
+		if err := Save(&buf, c.m); !errors.Is(err, ErrInvalidModel) || buf.Len() != 0 {
+			t.Errorf("%s: Save got %v after %d bytes, want ErrInvalidModel before any", c.name, err, buf.Len())
+		}
+		if err := writeBinary(&buf, c.m); err != nil {
+			t.Fatalf("%s: writeBinary: %v", c.name, err)
+		}
+		if _, err := LoadBinary(buf.Bytes()); !errors.Is(err, c.loadErr) {
+			t.Errorf("%s: LoadBinary got %v, want %v", c.name, err, c.loadErr)
 		}
 	}
 }

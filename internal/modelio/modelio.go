@@ -47,8 +47,10 @@ type envelope struct {
 	Payload json.RawMessage `json:"payload"`
 }
 
-// typeNameOf maps concrete model types to their envelope tags.
-func typeNameOf(m core.Model) (string, bool) {
+// TypeName returns the envelope tag of a model type ("quadhist",
+// "ptshist", "quicksel", "isomer", "gaussmix"), or false for a type this
+// package cannot persist.
+func TypeName(m core.Model) (string, bool) {
 	switch m.(type) {
 	case *hist.Model:
 		return "quadhist", true
@@ -65,11 +67,15 @@ func typeNameOf(m core.Model) (string, bool) {
 }
 
 // Save writes the model to w. Only the concrete model types of this
-// repository are supported.
+// repository are supported, and a model that Load would reject is not
+// written: Save returns ErrInvalidModel instead.
 func Save(w io.Writer, m core.Model) error {
-	name, ok := typeNameOf(m)
+	name, ok := TypeName(m)
 	if !ok {
 		return fmt.Errorf("modelio: unsupported model type %T", m)
+	}
+	if err := validate(m); err != nil {
+		return err
 	}
 	payload, err := json.Marshal(m)
 	if err != nil {

@@ -154,6 +154,7 @@ func TestLoadTypedErrors(t *testing.T) {
 		{"ragged points", `{"version":1,"type":"ptshist","payload":{"Points":[[0.5,0.5],[0.5]],"Weights":[0.5,0.5]}}`, ErrInvalidModel},
 		{"ragged buckets", `{"version":1,"type":"quadhist","payload":{"Buckets":[{"Lo":[0,0],"Hi":[0.5,1]},{"Lo":[0.5],"Hi":[1]}],"Weights":[0.5,0.5]}}`, ErrInvalidModel},
 		{"ragged means", `{"version":1,"type":"gaussmix","payload":{"Components":[{"Mean":[0.5],"Sigma":1},{"Mean":[0.5,0.5],"Sigma":1}],"Weights":[0.5,0.5]}}`, ErrInvalidModel},
+		{"negative weight", `{"version":1,"type":"quicksel","payload":{"Buckets":[{"Lo":[0,0],"Hi":[1,1]},{"Lo":[0,0],"Hi":[0.5,0.5]}],"Weights":[1.5,-0.5]}}`, ErrInvalidModel},
 	}
 	for _, c := range cases {
 		_, err := Load(strings.NewReader(c.input))

@@ -5,16 +5,17 @@ package serve
 // framing protocol on persistent TCP connections. Each connection gets one
 // goroutine, one wirebin.Arena, and one pooled estimateScratch; frames are
 // processed serially in arrival order, which is what makes pipelining's
-// in-order response guarantee free. Estimates flow through the exact same
-// estimateBatch kernel as the JSON path — same cache, same
-// core.EstimateRangesInto fan-out, same generation snapshot — so the two
-// protocols return bit-identical results.
+// in-order response guarantee free. Estimates flow through the same
+// pipeline as the JSON path (pipeline.go: resolve, dimension check,
+// estimateBatch on one generation snapshot), so the two protocols return
+// bit-identical results.
 //
 // processBinFrame is the steady-state unit: decode into the connection
 // arena, estimate into the connection scratch, append the response frame
-// to the connection's output buffer. None of that allocates — the
-// //selvet:zeroalloc annotations and TestBinFrameZeroAlloc hold it to
-// zero allocs/op, mirroring the JSON path's TestEstimateHandlerZeroAlloc.
+// to the connection's output buffer. None of that allocates, bar a
+// one-query frame's cache key — the //selvet:zeroalloc annotations and
+// TestBinFrameZeroAlloc hold it to zero allocs/op, mirroring the JSON
+// path's TestEstimateHandlerZeroAlloc.
 //
 // Per-frame errors (bad frame, bad query, unknown model, oversized frame)
 // are answered with a FrameError and the connection stays open: the
@@ -101,7 +102,8 @@ const (
 // processBinFrame serves one request frame, appending exactly one
 // response frame to st.out. It never fails: every error becomes a
 // FrameError response. The estimate path performs zero heap allocations
-// at steady state; feedback frames deep-copy observations out of the
+// at steady state, except that a one-query frame with the cache on pays
+// for its cache key; feedback frames deep-copy observations out of the
 // arena (the feedback ring retains them), matching the JSON path's cost.
 //
 //selvet:zeroalloc
@@ -128,37 +130,24 @@ func (s *Server) processBinFrame(st *binState, typ byte, payload []byte) {
 		st.out = wirebin.AppendErrorResp(st.out, code, err.Error())
 		return
 	}
-	nameBytes := st.req.Model
-	if len(nameBytes) == 0 {
-		nameBytes = defaultModelBytes
-	}
-	entry, ok := s.registry.GetBytes(nameBytes)
+	nameBytes, entry, ok := s.resolve(st.req.Model)
 	if !ok {
 		s.bin.errFrames.Inc()
 		st.out = wirebin.AppendErrorResp(st.out, wirebin.CodeUnknownModel, binMsgUnknownModel)
 		return
 	}
-	if dim, ok := modelDim(entry.Model); ok && dim > 0 {
-		for _, q := range st.req.Ranges {
-			if q.Dim() != dim {
-				s.bin.errFrames.Inc()
-				st.out = wirebin.AppendErrorResp(st.out, wirebin.CodeBadQuery, binMsgDimMismatch)
-				return
-			}
+	for _, q := range st.req.Ranges {
+		if !entry.fits(q) {
+			s.bin.errFrames.Inc()
+			st.out = wirebin.AppendErrorResp(st.out, wirebin.CodeBadQuery, binMsgDimMismatch)
+			return
 		}
 	}
 
 	switch typ {
 	case wirebin.FrameEstimate, wirebin.FrameEstimateBatch:
-		// The cache keys by model-name string; convert only when it is on
-		// (same trade the JSON path makes).
-		name := ""
-		if s.estCache != nil {
-			//selvet:ignore zeroalloc the estimate cache keys by string; opting into caching buys this one conversion
-			name = string(nameBytes)
-		}
 		ests := grow(&st.sc.ests, len(st.req.Ranges))
-		s.estimateBatch(name, entry, st.req.Ranges, ests, st.sc, obs.Span{})
+		s.estimateBatch(nameBytes, entry, st.req.Ranges, len(st.req.Ranges) == 1, ests, obs.Span{})
 		if typ == wirebin.FrameEstimate {
 			st.out = wirebin.AppendEstimateResp(st.out, entry.Generation, ests[0])
 		} else {

@@ -212,8 +212,11 @@ func TestBinJSONEquivalence(t *testing.T) {
 }
 
 // TestBinFrameZeroAlloc is the binary counterpart of
-// TestEstimateHandlerZeroAlloc: decode, estimate, and response encode for
-// a single-estimate frame run at 0 allocs/op at steady state. It drives
+// TestEstimateHandlerZeroAlloc: decode, estimate, and response encode run
+// at 0 allocs/op at steady state — for a single-estimate frame with the
+// cache off (with it on, a one-query frame's cache keying allocates by
+// design), and for a batch frame in the shipped configuration
+// (Options{}, cache on), since batches never touch the cache. It drives
 // processBinFrame inline — AllocsPerRun counts process-global
 // allocations, so a live client goroutine would pollute the measurement;
 // the thin connection loop around it is covered by the selvet zeroalloc
@@ -222,7 +225,7 @@ func TestBinFrameZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; the gate runs without -race")
 	}
-	train, test := fixture(t, 60, 1)
+	train, test := fixture(t, 60, 16)
 	m := trainModel(t, train)
 	s := NewServer(Options{EstimateCacheSize: -1})
 	s.Registry().Set(DefaultModelName, "test", m)
@@ -276,6 +279,34 @@ func TestBinFrameZeroAlloc(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Fatalf("binary batch frame path allocates %.1f objects/op, want 0", allocs)
+		}
+	})
+
+	t.Run("default config batch", func(t *testing.T) {
+		sd := NewServer(Options{})
+		sd.Registry().Set(DefaultModelName, "test", m)
+		ranges := make([]geom.Range, len(test))
+		for i := range ranges {
+			ranges[i] = test[i].R
+		}
+		bframe, err := wirebin.AppendEstimateBatchReq(nil, nil, ranges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		btyp, bpayload := bframe[4], bframe[5:]
+		for i := 0; i < 8; i++ {
+			st.out = st.out[:0]
+			sd.processBinFrame(st, btyp, bpayload)
+			if st.out[4] != wirebin.FrameEstimateBatchResp {
+				t.Fatalf("warmup frame answered with %#x", st.out[4])
+			}
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			st.out = st.out[:0]
+			sd.processBinFrame(st, btyp, bpayload)
+		})
+		if allocs != 0 {
+			t.Fatalf("default-config batch frame path allocates %.1f objects/op, want 0", allocs)
 		}
 	})
 

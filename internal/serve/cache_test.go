@@ -214,10 +214,11 @@ func TestEstimateResponsesByteIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// Concurrent batched estimates racing with hot-swaps must never mix
-// generations: every value in a response must come from the model whose
-// generation the response reports. Run under -race this also exercises
-// the cache, registry, and scratch pool for data races.
+// Concurrent estimates racing with hot-swaps must never mix generations:
+// every value in a response must come from the model whose generation the
+// response reports. Batches go straight to the kernel; one-query requests
+// go through the cache, so under -race this exercises the cache's Get and
+// Put against hot swaps, as well as the registry and scratch pool.
 func TestEstimateGenerationConsistencyUnderSwap(t *testing.T) {
 	m1, m2 := unitModel(1), unitModel(0.5)
 	s := NewServer(Options{})
@@ -226,6 +227,7 @@ func TestEstimateGenerationConsistencyUnderSwap(t *testing.T) {
 
 	const n = 70 // above the parallel threshold
 	queries := make([]geom.Range, n)
+	singles := make([]string, n)
 	var sb strings.Builder
 	sb.WriteString(`{"queries":[`)
 	for i := 0; i < n; i++ {
@@ -235,6 +237,7 @@ func TestEstimateGenerationConsistencyUnderSwap(t *testing.T) {
 		f := float64(i+1) / float64(n+1)
 		queries[i] = geom.NewBox(geom.Point{0, 0}, geom.Point{f, 0.5})
 		fmt.Fprintf(&sb, `{"lo":[0,0],"hi":[%g,0.5]}`, f)
+		singles[i] = fmt.Sprintf(`{"query":{"lo":[0,0],"hi":[%g,0.5]}}`, f)
 	}
 	sb.WriteString(`]}`)
 	body := sb.String()
@@ -264,17 +267,26 @@ func TestEstimateGenerationConsistencyUnderSwap(t *testing.T) {
 			runtime.Gosched()
 		}
 	}()
-	for g := 0; g < 4; g++ {
+	// Goroutines 0–3 send the batch; 4–5 cycle through the queries one
+	// request at a time.
+	for g := 0; g < 6; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
+			for k := 0; ; k++ {
+				if k > 0 { // every goroutine sends at least once
+					select {
+					case <-stop:
+						return
+					default:
+					}
 				}
-				w, resp := postEstimate(t, h, body)
+				req, first := body, 0
+				if g >= 4 {
+					first = k % n
+					req = singles[first]
+				}
+				w, resp := postEstimate(t, h, req)
 				if w.Code != 200 {
 					t.Errorf("HTTP %d: %s", w.Code, w.Body.String())
 					return
@@ -283,10 +295,14 @@ func TestEstimateGenerationConsistencyUnderSwap(t *testing.T) {
 				if resp.Generation%2 == 0 {
 					want = want2
 				}
-				for i, got := range resp.Estimates {
-					if got != want[i] {
+				got := resp.Estimates
+				if resp.Estimate != nil {
+					got = []float64{*resp.Estimate}
+				}
+				for j, v := range got {
+					if i := first + j; v != want[i] {
 						t.Errorf("generation %d response mixed models at index %d: got %v, want %v",
-							resp.Generation, i, got, want[i])
+							resp.Generation, i, v, want[i])
 						return
 					}
 				}
@@ -294,4 +310,11 @@ func TestEstimateGenerationConsistencyUnderSwap(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	var st statzResponse
+	if code := doJSON(t, h, "GET", "/statz", nil, &st); code != 200 {
+		t.Fatalf("statz: HTTP %d", code)
+	}
+	if st.EstimateCache == nil || st.EstimateCache.Hits+st.EstimateCache.Misses == 0 {
+		t.Fatalf("one-query requests never reached the cache: %+v", st.EstimateCache)
+	}
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/gmm"
 	"repro/internal/hist"
 	"repro/internal/isomer"
+	"repro/internal/modelio"
 	"repro/internal/obs"
 	"repro/internal/ptshist"
 	"repro/internal/quicksel"
@@ -24,6 +26,10 @@ type Entry struct {
 	// Generation counts swaps of this name, starting at 1. An estimate
 	// response echoes it so clients can tell which model answered.
 	Generation int64
+	// Dim is the model's dimensionality, computed once when the entry is
+	// published; 0 means unknown (an empty model) and accepts queries of
+	// any dimension.
+	Dim int
 	// Source records where the model came from: "upload", "file", or
 	// "retrain".
 	Source string
@@ -111,9 +117,15 @@ func (r *Registry) Set(name, source string, m core.Model) *Entry {
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
 	sl.gen++
-	e := &Entry{Model: m, Generation: sl.gen, Source: source, LoadedAt: time.Now()}
+	e := newEntry(m, sl.gen, source)
 	sl.ptr.Store(e)
 	return e
+}
+
+// newEntry builds the immutable snapshot a slot publishes.
+func newEntry(m core.Model, gen int64, source string) *Entry {
+	dim, _ := modelDim(m)
+	return &Entry{Model: m, Generation: gen, Dim: dim, Source: source, LoadedAt: time.Now()}
 }
 
 // CompareAndSwap publishes a model under name only if the current entry is
@@ -134,7 +146,7 @@ func (r *Registry) CompareAndSwap(name, source string, old *Entry, m core.Model)
 		return nil
 	}
 	sl.gen++
-	e := &Entry{Model: m, Generation: sl.gen, Source: source, LoadedAt: time.Now()}
+	e := newEntry(m, sl.gen, source)
 	sl.ptr.Store(e)
 	return e
 }
@@ -153,26 +165,19 @@ func (r *Registry) Names() []string {
 	return names
 }
 
-// modelTypeName returns the envelope tag used for a model in /statz output.
+// modelTypeName returns the envelope tag used for a model in /statz
+// output, or its Go type for a model modelio cannot persist.
 func modelTypeName(m core.Model) string {
-	switch m.(type) {
-	case *hist.Model:
-		return "quadhist"
-	case *ptshist.Model:
-		return "ptshist"
-	case *quicksel.Model:
-		return "quicksel"
-	case *isomer.Model:
-		return "isomer"
-	case *gmm.Model:
-		return "gaussmix"
+	if name, ok := modelio.TypeName(m); ok {
+		return name
 	}
 	return fmt.Sprintf("%T", m)
 }
 
-// modelDim returns the ambient dimensionality of a model, needed to rebuild
-// a trainer for retraining. Not every model records it explicitly, so it is
-// recovered from the bucket geometry.
+// modelDim returns the ambient dimensionality of a model, needed to check
+// query dimensions and to rebuild a trainer for retraining. Not every
+// model records it explicitly, so it is recovered from the bucket
+// geometry; the registry computes it once per published entry.
 func modelDim(m core.Model) (int, bool) {
 	switch t := m.(type) {
 	case *hist.Model:
@@ -233,5 +238,9 @@ func trainerFor(m core.Model, n int, seed uint64, log *obs.TrainLog) (core.Train
 		tr.Log = log
 		return tr, nil
 	}
-	return nil, fmt.Errorf("serve: no retrainer for model type %s", modelTypeName(m))
+	return nil, fmt.Errorf("%w %s", errNoRetrainer, modelTypeName(m))
 }
+
+// errNoRetrainer is trainerFor's error for a model family the retrainer
+// cannot refit from feedback (gaussmix).
+var errNoRetrainer = errors.New("serve: no retrainer for model type")

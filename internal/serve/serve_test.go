@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -12,9 +13,12 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/geom"
+	"repro/internal/gmm"
 	"repro/internal/hist"
+	"repro/internal/isomer"
 	"repro/internal/modelio"
 	"repro/internal/ptshist"
+	"repro/internal/quicksel"
 	"repro/internal/workload"
 )
 
@@ -256,12 +260,15 @@ func TestModelUploadAndDownload(t *testing.T) {
 		}
 	}
 
-	// Decode failures map to 400, missing models to 404.
+	// An invalid model never becomes a snapshot to upload: SaveBinary
+	// refuses it (modelio's tests cover loading one written regardless).
 	var nanSnap bytes.Buffer
 	nanModel := &ptshist.Model{Points: []geom.Point{{0.25, 0.5}, {0.75, 0.5}}, Weights: []float64{math.NaN(), 1}}
-	if err := modelio.SaveBinary(&nanSnap, nanModel); err != nil {
-		t.Fatal(err)
+	if err := modelio.SaveBinary(&nanSnap, nanModel); !errors.Is(err, modelio.ErrInvalidModel) {
+		t.Fatalf("SaveBinary of a NaN-weight model: %v, want ErrInvalidModel", err)
 	}
+
+	// Decode failures map to 400, missing models to 404.
 	cases := []struct {
 		name string
 		body string
@@ -272,7 +279,6 @@ func TestModelUploadAndDownload(t *testing.T) {
 		{"unknown type", `{"version":1,"type":"neuralnet","payload":{}}`, 400},
 		{"invalid weights", `{"version":1,"type":"ptshist","payload":{"Points":[[0.5,0.5]],"Weights":[0.2]}}`, 400},
 		{"ragged points", `{"version":1,"type":"ptshist","payload":{"Points":[[0.5,0.5],[0.5]],"Weights":[0.5,0.5]}}`, 400},
-		{"nan weight snapshot", nanSnap.String(), 400},
 	}
 	for _, c := range cases {
 		if code := doJSON(t, h, "PUT", "/v1/models/bad", []byte(c.body), nil); code != c.want {
@@ -402,17 +408,38 @@ func TestMethodNotAllowed(t *testing.T) {
 
 func TestTrainerForAllFamilies(t *testing.T) {
 	train, _ := fixture(t, 40, 5)
-	models := []core.Model{trainModel(t, train)}
-	for _, m := range models {
-		tr, err := trainerFor(m, 40, 1, nil)
+	fit := func(tr core.Trainer) core.Model {
+		t.Helper()
+		m, err := tr.Train(train)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := tr.Train(train); err != nil {
-			t.Fatal(err)
+		return m
+	}
+	models := []core.Model{
+		trainModel(t, train),
+		fit(ptshist.New(2, 50, 1)),
+		fit(quicksel.New(2, 1)),
+		fit(isomer.New(2)),
+	}
+	for _, m := range models {
+		tr, err := trainerFor(m, 40, 1, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", modelTypeName(m), err)
+		}
+		got, err := tr.Train(train)
+		if err != nil {
+			t.Fatalf("%s: %v", modelTypeName(m), err)
+		}
+		if a, b := modelTypeName(got), modelTypeName(m); a != b {
+			t.Fatalf("retrainer for %s built a %s", b, a)
 		}
 	}
-	// Unsupported/empty models degrade to an error, not a panic.
+	// A family without a retrainer fails typed; an empty model degrades
+	// to an error, not a panic.
+	if _, err := trainerFor(fit(gmm.New(2, 4, 1)), 10, 1, nil); !errors.Is(err, errNoRetrainer) {
+		t.Fatalf("gaussmix: %v, want errNoRetrainer", err)
+	}
 	if _, err := trainerFor(&hist.Model{}, 10, 1, nil); err == nil ||
 		!strings.Contains(err.Error(), "dimensionality") {
 		t.Fatalf("empty model: %v", err)

@@ -62,8 +62,9 @@ type Options struct {
 	MaxBodyBytes int64
 	// DrainTimeout bounds graceful shutdown (default 10s).
 	DrainTimeout time.Duration
-	// EstimateCacheSize bounds the generation-keyed estimate cache
-	// (default 4096 entries; negative disables caching).
+	// EstimateCacheSize bounds the generation-keyed estimate cache that
+	// one-query requests consult (default 4096 entries; negative
+	// disables caching).
 	EstimateCacheSize int
 	// EstimateWorkers is the worker count for batched estimate requests
 	// (default 0: the shared pool's default, i.e. GOMAXPROCS unless
@@ -586,13 +587,6 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request, sc *estimateSc
 	}
 }
 
-func modelName(name string) string {
-	if name == "" {
-		return DefaultModelName
-	}
-	return name
-}
-
 // estimateScratch is the per-request working set of the estimate hot
 // path. Requests check one out of scratchPool, so steady-state serving
 // reuses the same slices and encode buffer instead of allocating per
@@ -611,13 +605,9 @@ type estimateScratch struct {
 	ranges []geom.Range     // one per query, nil when invalid
 
 	// estimate + encode state
-	keys   []string
-	miss   []int
-	missRg []geom.Range
-	missV  []float64
-	ests   []float64
-	bad    []string
-	out    []byte // hand-rolled response bytes
+	ests []float64
+	bad  []string
+	out  []byte // hand-rolled response bytes
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(estimateScratch) }}
@@ -657,20 +647,17 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "no queries given")
 		return
 	}
-	nameBytes := sc.nameOrDefault()
-	entry, ok := s.registry.GetBytes(nameBytes)
+	nameBytes, entry, ok := s.resolve(sc.name)
 	if !ok {
 		s.writeError(w, http.StatusNotFound, "model %q not registered", string(nameBytes))
 		return
 	}
-	dim, _ := modelDim(entry.Model)
 
 	bad := sc.bad[:0]
 	for i, q := range ranges {
 		err := sc.qerrs[i]
-		if err == nil && dim > 0 && q.Dim() != dim {
-			//selvet:ignore zeroalloc malformed queries take the 400 path; well-formed requests never reach this line
-			err = fmt.Errorf("dimension %d, model %q has dimension %d", q.Dim(), string(nameBytes), dim)
+		if err == nil && !entry.fits(q) {
+			err = entry.dimMismatch(q, nameBytes)
 		}
 		if err != nil {
 			//selvet:ignore zeroalloc error-message formatting for the 400 response only; the happy path keeps bad empty
@@ -686,63 +673,11 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// The cache keys by model-name string; convert only when it is on.
-	name := ""
-	if s.estCache != nil {
-		//selvet:ignore zeroalloc the estimate cache keys by string; opting into caching buys this one conversion
-		name = string(nameBytes)
-	}
 	ests := grow(&sc.ests, len(ranges))
-	s.estimateBatch(name, entry, ranges, ests, sc, obs.SpanFromContext(r.Context()))
+	s.estimateBatch(nameBytes, entry, ranges, len(ranges) == 1, ests, obs.SpanFromContext(r.Context()))
 
 	sc.out = appendEstimateResponse(sc.out[:0], nameBytes, entry.Generation, ests, single)
 	s.writeRaw(w, http.StatusOK, sc.out)
-}
-
-// estimateBatch fills ests[i] for every range, serving what it can from
-// the generation-keyed cache and evaluating the misses as one batch on
-// the shared deterministic kernel (core.EstimateRangesInto). Results are
-// index-addressed throughout, so the output is byte-identical for any
-// worker count. When sp is an active trace span, the cache scan and the
-// kernel fan-out appear as its children; for the untraced common case
-// every span call is an inert value-copy.
-//
-//selvet:zeroalloc
-func (s *Server) estimateBatch(name string, entry *Entry, ranges []geom.Range, ests []float64, sc *estimateScratch, sp obs.Span) {
-	if s.estCache == nil {
-		core.EstimateRangesTraced(entry.Model, ranges, s.opts.EstimateWorkers, ests, sp)
-		return
-	}
-	lookup := sp.Child("serve.cache_lookup")
-	keys := grow(&sc.keys, len(ranges))
-	miss := sc.miss[:0]
-	missRg := sc.missRg[:0]
-	for i, q := range ranges {
-		keys[i] = ""
-		if k, ok := QueryKey(q); ok {
-			keys[i] = k
-			if v, hit := s.estCache.Get(name, entry.Generation, k); hit {
-				ests[i] = v
-				continue
-			}
-		}
-		miss = append(miss, i)
-		missRg = append(missRg, q)
-	}
-	lookup.Items = int64(len(ranges) - len(miss)) // cache hits
-	lookup.End()
-	sc.miss, sc.missRg = miss, missRg
-	if len(miss) == 0 {
-		return
-	}
-	missV := grow(&sc.missV, len(miss))
-	core.EstimateRangesTraced(entry.Model, missRg, s.opts.EstimateWorkers, missV, sp)
-	for k, i := range miss {
-		ests[i] = missV[k]
-		if keys[i] != "" {
-			s.estCache.Put(name, entry.Generation, keys[i], missV[k])
-		}
-	}
 }
 
 func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
@@ -754,8 +689,9 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "no observations given")
 		return
 	}
-	name := modelName(req.Model)
-	if _, ok := s.registry.Get(name); !ok {
+	nameBytes, _, ok := s.resolve([]byte(req.Model))
+	name := string(nameBytes)
+	if !ok {
 		s.writeError(w, http.StatusNotFound, "model %q not registered", name)
 		return
 	}

@@ -2,12 +2,10 @@ package serve
 
 import (
 	"bufio"
-	"fmt"
 	"net/http"
 	"strconv"
 	"sync"
 
-	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/obs"
 )
@@ -19,10 +17,11 @@ import (
 // optimizer warming its plan cache, a benchmark harness, a backfill — the
 // streaming endpoint amortizes that envelope over one connection: the
 // client writes one wire-query object per line, the server batches up to
-// streamBatchSize parsed queries, evaluates each batch on the shared
-// deterministic kernel (core.EstimateRangesInto via its traced wrapper,
-// honoring Options.EstimateWorkers), and writes one {"estimate":x} line
-// per query, in request order, flushing after every batch.
+// streamBatchSize parsed queries, evaluates each batch through the shared
+// pipeline (pipeline.go: the deterministic kernel, honoring
+// Options.EstimateWorkers; a stream is a bulk request, so it skips the
+// estimate cache), and writes one {"estimate":x} line per query, in
+// request order, flushing after every batch.
 //
 // A malformed line does not abort the stream: the server flushes the
 // queries batched so far (preserving output order) and then writes an
@@ -46,13 +45,11 @@ var streamReaderPool = sync.Pool{New: func() any { return bufio.NewReaderSize(ni
 var streamWriterPool = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 64<<10) }}
 
 func (s *Server) handleEstimateStream(w http.ResponseWriter, r *http.Request) {
-	name := modelName(r.URL.Query().Get("model"))
-	entry, ok := s.registry.Get(name)
+	name, entry, ok := s.resolve([]byte(r.URL.Query().Get("model")))
 	if !ok {
-		s.writeError(w, http.StatusNotFound, "model %q not registered", name)
+		s.writeError(w, http.StatusNotFound, "model %q not registered", string(name))
 		return
 	}
-	dim, _ := modelDim(entry.Model)
 	sp := obs.SpanFromContext(r.Context())
 
 	// The handler interleaves request-body reads with response writes. Go's
@@ -86,7 +83,7 @@ func (s *Server) handleEstimateStream(w http.ResponseWriter, r *http.Request) {
 			return true
 		}
 		ests := grow(&sc.ests, len(sc.ranges))
-		core.EstimateRangesTraced(entry.Model, sc.ranges, s.opts.EstimateWorkers, ests, sp)
+		s.estimateBatch(name, entry, sc.ranges, false, ests, sp)
 		out := sc.out[:0]
 		for _, v := range ests {
 			out = append(out, `{"estimate":`...)
@@ -155,12 +152,8 @@ func (s *Server) handleEstimateStream(w http.ResponseWriter, r *http.Request) {
 		if perr == nil {
 			q, perr = qp.build(sc)
 		}
-		if perr == nil && dim > 0 && q.Dim() != dim {
-			if !fail(dimMismatch(q.Dim(), name, dim)) {
-				return
-			}
-			qindex++
-			continue
+		if perr == nil && !entry.fits(q) {
+			perr = entry.dimMismatch(q, name)
 		}
 		if perr != nil {
 			if !fail(perr.Error()) {
@@ -202,9 +195,4 @@ func blank(line []byte) bool {
 		}
 	}
 	return true
-}
-
-// dimMismatch formats the dimension error exactly like the batch path.
-func dimMismatch(qdim int, name string, dim int) string {
-	return fmt.Sprintf("dimension %d, model %q has dimension %d", qdim, name, dim)
 }

@@ -548,16 +548,6 @@ func (sc *estimateScratch) resetWire() {
 	sc.qerrs = sc.qerrs[:0]
 }
 
-// nameOrDefault returns the parsed model name, defaulting like modelName.
-//
-//selvet:zeroalloc
-func (sc *estimateScratch) nameOrDefault() []byte {
-	if len(sc.name) == 0 {
-		return defaultModelBytes
-	}
-	return sc.name
-}
-
 // ---- encoding ----
 
 // appendJSONFloat renders a float64 the way encoding/json does ('f' for

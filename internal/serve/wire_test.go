@@ -136,8 +136,8 @@ func TestWireParserMatchesEncodingJSON(t *testing.T) {
 		if hasQuery != single || nQueries != len(req.Queries) {
 			t.Fatalf("trial %d: form flags (%v,%d), want (%v,%d)", trial, hasQuery, nQueries, single, len(req.Queries))
 		}
-		if string(sc.nameOrDefault()) != modelName(req.Model) {
-			t.Fatalf("trial %d: model %q, want %q", trial, sc.nameOrDefault(), modelName(req.Model))
+		if string(sc.name) != req.Model {
+			t.Fatalf("trial %d: model %q, want %q", trial, sc.name, req.Model)
 		}
 		if len(sc.ranges) != n {
 			t.Fatalf("trial %d: %d ranges, want %d", trial, len(sc.ranges), n)
@@ -266,46 +266,62 @@ func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 func (w *discardWriter) WriteHeader(code int)        { w.status = code }
 
 // TestEstimateHandlerZeroAlloc is the end-to-end allocation gate for the
-// single-estimate request path (the TestObsDisabledAllocs pattern applied
-// to the handler): mux dispatch, instrumentation, body read, decode,
-// estimate, encode — 0 allocs/op at steady state. The cache is disabled
-// because cache keying interns query bytes as map-key strings by design.
+// estimate request path (the TestObsDisabledAllocs pattern applied to the
+// handler): mux dispatch, instrumentation, body read, decode, estimate,
+// encode — 0 allocs/op at steady state. A batch holds that in the
+// shipped configuration (Options{}, cache on), since batches never touch
+// the cache. A one-query request is gated with the cache off: with it
+// on, keying interns the query bytes and model name as map-key strings
+// by design, so that request still allocates.
 func TestEstimateHandlerZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; the gate runs without -race")
 	}
-	train, test := fixture(t, 60, 1)
+	train, test := fixture(t, 60, 16)
 	m := trainModel(t, train)
-	s := NewServer(Options{EstimateCacheSize: -1})
-	s.Registry().Set(DefaultModelName, "test", m)
-	h := s.Handler()
+	gate := func(t *testing.T, opts Options, req estimateRequest) {
+		t.Helper()
+		s := NewServer(opts)
+		s.Registry().Set(DefaultModelName, "test", m)
+		h := s.Handler()
+		payload, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rd := bytes.NewReader(payload)
+		hr := httptest.NewRequest("POST", "/v1/estimate", rd)
+		hr.Body = reusableBody{rd}
+		w := &discardWriter{h: make(http.Header)}
 
-	b := test[0].R.(geom.Box)
-	payload, err := json.Marshal(estimateRequest{Query: &wireQuery{Lo: b.Lo, Hi: b.Hi}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rd := bytes.NewReader(payload)
-	req := httptest.NewRequest("POST", "/v1/estimate", rd)
-	req.Body = reusableBody{rd}
-	w := &discardWriter{h: make(http.Header)}
-
-	// Warm the pools and prove the path actually serves 200s.
-	for i := 0; i < 8; i++ {
-		rd.Reset(payload)
-		w.status = 0
-		h.ServeHTTP(w, req)
-		if w.status != http.StatusOK {
-			t.Fatalf("warmup request: HTTP %d", w.status)
+		// Warm the pools and prove the path actually serves 200s.
+		for i := 0; i < 8; i++ {
+			rd.Reset(payload)
+			w.status = 0
+			h.ServeHTTP(w, hr)
+			if w.status != http.StatusOK {
+				t.Fatalf("warmup request: HTTP %d", w.status)
+			}
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			rd.Reset(payload)
+			h.ServeHTTP(w, hr)
+		})
+		if allocs != 0 {
+			t.Fatalf("estimate request path allocates %.1f objects/op, want 0", allocs)
 		}
 	}
-	allocs := testing.AllocsPerRun(200, func() {
-		rd.Reset(payload)
-		h.ServeHTTP(w, req)
+
+	b := test[0].R.(geom.Box)
+	gate(t, Options{EstimateCacheSize: -1}, estimateRequest{Query: &wireQuery{Lo: b.Lo, Hi: b.Hi}})
+
+	t.Run("default config batch", func(t *testing.T) {
+		var qs []wireQuery
+		for _, lq := range test {
+			b := lq.R.(geom.Box)
+			qs = append(qs, wireQuery{Lo: b.Lo, Hi: b.Hi})
+		}
+		gate(t, Options{}, estimateRequest{Queries: qs})
 	})
-	if allocs != 0 {
-		t.Fatalf("single-estimate request path allocates %.1f objects/op, want 0", allocs)
-	}
 }
 
 // TestWireParserSurrogatePairs pins \uXXXX handling to encoding/json:

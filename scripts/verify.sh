@@ -52,6 +52,10 @@ for a in zeroalloc poolpair atomicmix cowshare obslabel; do
 done
 
 go test ./...
+# cmd/perfbench is its own Go module (it builds against this checkout via
+# a replace directive), so ./... above never compiles it: vet and test it
+# explicitly, so a serve API change cannot break the benchmark unnoticed.
+(cd cmd/perfbench && go vet ./... && go test ./...)
 go test -race ./internal/...
 # The metrics registry and span tracer are read by exposition handlers
 # while every request and trainer writes to them; their race test is the
@@ -80,10 +84,12 @@ go test -run 'TestOnlineDeterminism|TestDeterministicFold' ./internal/serve ./in
 # rather than in scripts/bench.sh.
 go test -run '^$' -bench 'BenchmarkFig09$' -benchtime 1x .
 go test -run '^$' -bench 'BenchmarkEstimatePath/|BenchmarkServeEstimateBatch/|BenchmarkServeEstimateStream/' -benchtime 1x .
-# Wire-path zero-allocation gate: the steady-state single-estimate path
-# through the full mux (pooled codecs, arena parse, hand-rolled encode)
-# must measure exactly 0 allocs/op — this is the contract DESIGN.md §13
-# documents, and any new per-request allocation fails the test.
+# Wire-path zero-allocation gate: the steady-state estimate path through
+# the full mux (pooled codecs, arena parse, hand-rolled encode) must
+# measure exactly 0 allocs/op — for a batch in the shipped configuration
+# and a single estimate with the cache off. This is the contract
+# DESIGN.md §13 documents, and any new per-request allocation fails the
+# test.
 go test -run 'TestEstimateHandlerZeroAlloc' -count=1 ./internal/serve
 # Stream endpoint concurrency gate: per-connection pooled state and the
 # registry's COW publication must stay tear-free under concurrent streams
